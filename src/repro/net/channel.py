@@ -30,11 +30,8 @@ The batch API (:meth:`rx_power_dbm_batch` / :meth:`sinr_db_batch` /
 :meth:`delivery_verdicts`) evaluates all receivers of one transmission in a
 single fused pass over those memoized cores.  Transcendentals
 (``log10``/``exp``) deliberately stay on scalar ``math.*``: numpy's SIMD
-loops are *not* bit-identical to libm on all hardware, and the PR5 golden
-fingerprints pin exact trace bytes.  numpy (via :mod:`repro.net.fastpath`)
-is used only where it is IEEE-exact — elementwise multiply and compare of
-the final verdicts — so the vectorized and pure-Python paths return the
-same bits.
+loops are *not* bit-identical to libm on all hardware, and the golden
+fingerprints pin exact trace bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net import fastpath
 from repro.util.geometry import Point, distance
 from repro.util.rng import derive_seed
 
@@ -55,9 +51,6 @@ __all__ = ["Channel", "Jammer"]
 #: Cap on the per-distance path-loss memo; mobile worlds generate unbounded
 #: distinct distances, so the cache resets rather than grows past this.
 _PL_CACHE_MAX = 1 << 16
-
-#: Batch size at which the numpy verdict compare beats the scalar loop.
-_NP_VERDICT_MIN = 8
 
 
 def _dbm_to_mw(dbm: float) -> float:
@@ -358,19 +351,9 @@ class Channel:
         draws; either way the verdict is a pure function of the draw, so
         batching never perturbs it.  Receiver ``i`` decodes iff
         ``draws[i] < probs[i] * survival`` — the same float multiply and
-        compare as the scalar dispatcher, evaluated through numpy when the
-        fast path is on and the batch is large enough (elementwise ``*``
-        and ``<`` on float64 are IEEE-exact, so both paths agree bitwise).
+        compare as the unicast dispatcher.
         """
-        xp = fastpath.numpy_or_none()
-        if xp is not None and len(probs) >= _NP_VERDICT_MIN:
-            p = xp.asarray(probs, dtype=xp.float64)
-            if survival != 1.0:
-                p = p * survival
-            return (xp.asarray(draws, dtype=xp.float64) < p).tolist()
-        if survival != 1.0:
-            return [d < p * survival for p, d in zip(probs, draws)]
-        return [d < p for p, d in zip(probs, draws)]
+        return [d < p * survival for p, d in zip(probs, draws)]
 
     def comm_range_m(self, tx_power_dbm: float, margin_db: float = 0.0) -> float:
         """Distance at which mean SINR (no jamming) equals the threshold.

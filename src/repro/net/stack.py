@@ -3,13 +3,17 @@
 The paper's Fig. 2 synthesis argument needs heterogeneous communication
 stacks assembled on demand; Farooq & Zhu's multi-layer IoBT network design
 (arXiv:1801.09986) models exactly that per-layer composability.  This module
-makes the stack explicit: an ordered pipeline
+makes the stack explicit as an ordered pipeline of concrete components
 
     PHY/channel -> MAC -> queue -> routing -> transport -> app
 
-behind one :class:`Layer` protocol (``on_send`` / ``on_receive`` /
-``on_timer`` / ``attach(ctx)``).  A :class:`StackContext` owns the clock,
-the RNG stream, and the emit hooks, so tracing (:mod:`repro.obs.tracing`),
+where each layer is a plain class with the methods the dispatcher calls
+(``PhyLayer.delivery_probability``, ``MacLayer.grant``,
+``QueueLayer.busy_neighbors``, ``FaultLayer.link_blocked``,
+``AppLayer.deliver``, ...).  The router and transport slots are typed by
+:class:`RouterPort` and :class:`TransportPort`.  A :class:`StackContext`
+owns the clock, the RNG stream, and the emit hooks, and every layer that
+needs them takes it at construction, so tracing (:mod:`repro.obs.tracing`),
 fault callbacks (:mod:`repro.faults`), and metrics
 (:mod:`repro.obs.registry`) plug in at layer boundaries exactly once instead
 of being re-implemented per router.
@@ -42,7 +46,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.net import fastpath
 from repro.net.mac import ContentionMac, MacAccess
 from repro.net.packet import Packet, PacketKind
 from repro.util.geometry import distance
@@ -55,56 +58,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 __all__ = [
-    "Layer",
     "RouterPort",
     "TransportPort",
-    "LayerBase",
     "StackContext",
     "PhyLayer",
     "MacLayer",
     "QueueLayer",
     "FaultLayer",
-    "RoutingLayer",
-    "TransportLayer",
     "AppLayer",
     "NetworkStack",
     "FastPathDispatcher",
     "SPEED_OF_LIGHT_M_S",
-    "LAYER_ORDER",
 ]
 
 SPEED_OF_LIGHT_M_S = 3.0e8
-
-#: Canonical bottom-up layer order of the pipeline.
-LAYER_ORDER: Tuple[str, ...] = ("phy", "mac", "queue", "routing", "transport", "app")
 
 SendResult = Callable[[bool], None]
 Sniffer = Callable[[Packet, int, int], None]
 
 
 # --------------------------------------------------------------- protocols
-
-
-@runtime_checkable
-class Layer(Protocol):
-    """The uniform interface every stack layer implements.
-
-    ``attach(ctx)`` binds the layer to its stack's shared context;
-    ``on_send`` / ``on_receive`` are the downward/upward data-path hooks;
-    ``on_timer`` is the periodic maintenance hook (DTN contact sweeps, MAC
-    housekeeping).  Layers that do not participate in a direction simply
-    inherit the no-op from :class:`LayerBase`.
-    """
-
-    name: str
-
-    def attach(self, ctx: "StackContext") -> None: ...
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None: ...
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None: ...
-
-    def on_timer(self, now: float) -> None: ...
 
 
 @runtime_checkable
@@ -136,30 +109,6 @@ class TransportPort(Protocol):
     def on_message(self, node_id: int, handler: Callable[[Packet], None]) -> None: ...
 
     def attach(self, node_id: int) -> None: ...
-
-
-class LayerBase:
-    """Default no-op implementation of the :class:`Layer` protocol."""
-
-    name = "layer"
-
-    def __init__(self) -> None:
-        self.ctx: Optional[StackContext] = None
-
-    def attach(self, ctx: "StackContext") -> None:
-        self.ctx = ctx
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        pass
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        pass
-
-    def on_timer(self, now: float) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 # ----------------------------------------------------------------- context
@@ -262,7 +211,7 @@ class StackContext:
 _PAIR_CACHE_MAX = 1 << 17
 
 
-class PhyLayer(LayerBase):
+class PhyLayer:
     """PHY/channel layer: propagation, airtime, and delivery probability.
 
     Wraps a :class:`~repro.net.channel.Channel`; the per-bit timing comes
@@ -282,10 +231,8 @@ class PhyLayer(LayerBase):
     drops the whole cache.
     """
 
-    name = "phy"
-
-    def __init__(self, channel: "Channel"):
-        super().__init__()
+    def __init__(self, ctx: StackContext, channel: "Channel"):
+        self.ctx = ctx
         self.channel = channel
         self._pair_cache: Dict[Tuple, float] = {}
         self._pair_sig: Optional[Tuple] = None
@@ -298,7 +245,6 @@ class PhyLayer(LayerBase):
         return packet.airtime_s(node.bitrate_bps)
 
     def propagation_s(self, sender: "NetNode", receiver: "NetNode") -> float:
-        assert self.ctx is not None
         version = self.ctx.network.topology_version
         if version != self._prop_version:
             self._prop_cache.clear()
@@ -313,7 +259,6 @@ class PhyLayer(LayerBase):
         return prop
 
     def _live_pair_cache(self) -> Dict[Tuple, float]:
-        assert self.ctx is not None
         signature = (
             self.ctx.network.topology_version,
             self.channel.jam_signature(),
@@ -380,7 +325,7 @@ class PhyLayer(LayerBase):
         return out
 
 
-class MacLayer(LayerBase):
+class MacLayer:
     """Medium-access layer: channel-access grants against local load.
 
     Wraps a :class:`~repro.net.mac.ContentionMac` (or any object with its
@@ -388,20 +333,17 @@ class MacLayer(LayerBase):
     histogram at the boundary — one draw per grant, observed exactly once.
     """
 
-    name = "mac"
-
-    def __init__(self, mac: ContentionMac):
-        super().__init__()
+    def __init__(self, ctx: StackContext, mac: ContentionMac):
+        self.ctx = ctx
         self.mac = mac
 
     def grant(self, busy_neighbors: int) -> MacAccess:
-        assert self.ctx is not None
         access = self.mac.access(busy_neighbors, self.ctx.rng)
         self.ctx.h_backoff.observe(access.backoff_s)
         return access
 
 
-class QueueLayer(LayerBase):
+class QueueLayer:
     """Transmit-queue layer: in-flight occupancy used for load estimates.
 
     ``busy_tx`` on each node counts concurrent in-flight transmissions;
@@ -409,10 +351,8 @@ class QueueLayer(LayerBase):
     against.
     """
 
-    name = "queue"
-
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, ctx: StackContext) -> None:
+        self.ctx = ctx
         # sender_id -> that node's live neighbor objects; resolving the id
         # list to objects once per (topology, liveness) era turns the
         # per-transmission load scan into bare attribute reads.
@@ -420,7 +360,6 @@ class QueueLayer(LayerBase):
         self._nbr_sig: Tuple[int, int] = (-1, -1)
 
     def busy_neighbors(self, sender: "NetNode") -> int:
-        assert self.ctx is not None
         network = self.ctx.network
         sig = (network.topology_version, network.liveness_version)
         if sig != self._nbr_sig:
@@ -442,7 +381,7 @@ class QueueLayer(LayerBase):
         sender.busy_tx = max(0, sender.busy_tx - 1)
 
 
-class FaultLayer(LayerBase):
+class FaultLayer:
     """Fault plug-in point: link cuts, partitions, and packet gremlins.
 
     This is where :mod:`repro.faults` hooks into the stack — exactly once,
@@ -451,10 +390,8 @@ class FaultLayer(LayerBase):
     its historical ``block_link`` / ``add_gremlin`` API by delegation.
     """
 
-    name = "faults"
-
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, ctx: StackContext) -> None:
+        self.ctx = ctx
         self.blocked_links: set[Tuple[int, int]] = set()
         self.partitions: List[Dict[int, int]] = []
         self.gremlins: List[Any] = []
@@ -464,26 +401,22 @@ class FaultLayer(LayerBase):
         return (a, b) if a <= b else (b, a)
 
     def block_link(self, a: int, b: int) -> None:
-        assert self.ctx is not None
         key = self._link_key(a, b)
         if key not in self.blocked_links:
             self.blocked_links.add(key)
             self.ctx.emit("net.link_down", a=key[0], b=key[1])
 
     def unblock_link(self, a: int, b: int) -> None:
-        assert self.ctx is not None
         key = self._link_key(a, b)
         if key in self.blocked_links:
             self.blocked_links.discard(key)
             self.ctx.emit("net.link_up", a=key[0], b=key[1])
 
     def add_partition(self, groups: Dict[int, int]) -> None:
-        assert self.ctx is not None
         self.partitions.append(groups)
         self.ctx.emit("net.partition_on", groups=len(set(groups.values())))
 
     def remove_partition(self, groups: Dict[int, int]) -> None:
-        assert self.ctx is not None
         if groups in self.partitions:
             self.partitions.remove(groups)
             self.ctx.emit("net.partition_off")
@@ -532,49 +465,7 @@ class FaultLayer(LayerBase):
         return drop, duplicate, corrupt, extra_delay
 
 
-class RoutingLayer(LayerBase):
-    """Adapter putting a :class:`~repro.net.routing.base.Router` in the
-    stack's routing slot.  Down-calls map ``on_send`` to the router's
-    ``send``; up-calls go to the router's own ``on_receive``."""
-
-    name = "routing"
-
-    def __init__(self, router: RouterPort):
-        super().__init__()
-        self.router = router
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        self.router.send(node.id, packet)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        self.router.on_receive(node, packet, from_id)
-
-    def on_timer(self, now: float) -> None:
-        timer = getattr(self.router, "on_timer", None)
-        if timer is not None:
-            timer(now)
-
-
-class TransportLayer(LayerBase):
-    """Adapter putting a transport service (:class:`MessageService` /
-    :class:`ReliableMessageService`) in the stack's transport slot."""
-
-    name = "transport"
-
-    def __init__(self, service: TransportPort):
-        super().__init__()
-        self.service = service
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        self.service.send(node.id, packet.dst, packet.payload)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        # Transports register per-kind node handlers; delivery reaches them
-        # through the app layer.  Nothing extra to do on the adapter.
-        pass
-
-
-class AppLayer(LayerBase):
+class AppLayer:
     """Top of the stack: sniffer taps, router up-call, local handlers.
 
     A delivery climbs the stack here: energy is charged, promiscuous
@@ -582,10 +473,7 @@ class AppLayer(LayerBase):
     router-less nodes, the local handler table) takes over.
     """
 
-    name = "app"
-
     def __init__(self) -> None:
-        super().__init__()
         self.sniffers: List[Sniffer] = []
 
     def add_sniffer(self, fn: Sniffer) -> None:
@@ -600,9 +488,6 @@ class AppLayer(LayerBase):
             receiver.router.on_receive(receiver, packet, from_id)
         else:
             receiver.deliver_local(packet, from_id)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        self.deliver(node, packet, from_id)
 
 
 # --------------------------------------------------------------- dispatcher
@@ -638,39 +523,8 @@ class FastPathDispatcher:
         self.queue = queue
         self.faults = faults
         self.app = app
-        # Resolved once per dispatcher: whether broadcast draws come as one
-        # numpy slab (bit-identical to sequential draws) or one at a time.
-        self._fast = fastpath.fast_path_enabled()
 
     # ---------------------------------------------------------- shared core
-
-    def _hop_verdict(
-        self,
-        sender: "NetNode",
-        receiver: "NetNode",
-        packet: Packet,
-        survival: float,
-    ) -> Tuple[bool, Optional[str], bool, bool, float]:
-        """One receiver's delivery draw plus the fault-layer verdicts.
-
-        Returns ``(success, drop_reason, duplicate, corrupt, extra_delay)``.
-        Exactly one RNG draw (the delivery Bernoulli) unless gremlins add
-        their own from their named stream.
-        """
-        ctx = self.ctx
-        p_ok = self.phy.delivery_probability(sender, receiver) * survival
-        if ctx.rng.random() >= p_ok:
-            return False, "loss", False, False, 0.0
-        if self.faults.link_blocked(sender.id, receiver.id):
-            ctx.incr("net.link_blocked")
-            return False, "link_blocked", False, False, 0.0
-        verdict = self.faults.gremlin_verdict(sender.id, receiver.id, packet)
-        if verdict is not None:
-            drop, duplicate, corrupt, extra_delay = verdict
-            if drop:
-                return False, "gremlin", duplicate, corrupt, extra_delay
-            return True, None, duplicate, corrupt, extra_delay
-        return True, None, False, False, 0.0
 
     def _charge_tx(self, sender: "NetNode", packet: Packet) -> None:
         """Per-transmission accounting at the queue/MAC boundary."""
@@ -826,18 +680,12 @@ class FastPathDispatcher:
         # cast walks it once per neighbor).  Probabilities come from the
         # PHY pair cache / fused channel kernel in one call, the delivery
         # Bernoullis as one RNG slab (``Generator.random(n)`` yields the
-        # same doubles as n sequential ``random()`` calls, so the draw-
-        # per-receiver contract of the scalar path is preserved exactly),
-        # and the verdicts as one batched compare.
+        # same doubles as n sequential ``random()`` calls, so each receiver
+        # still consumes exactly one draw, in neighbor order).
         nodes = ctx.network.nodes
         receivers = [nodes[nid] for nid in neighbor_ids]
         probs = self.phy.delivery_probability_batch(sender, receivers)
-        n = len(receivers)
-        if self._fast:
-            draws = ctx.rng.random(n)
-        else:
-            rng_random = ctx.rng.random
-            draws = [rng_random() for _ in range(n)]
+        draws = ctx.rng.random(len(receivers)).tolist()
         verdicts = self.phy.channel.delivery_verdicts(probs, draws, survival=survival)
         link_blocked = self.faults.link_blocked
         gremlin_verdict = (
@@ -918,10 +766,11 @@ class FastPathDispatcher:
 class NetworkStack:
     """The assembled layered pipeline of one network.
 
-    Owns the context, the mandatory bottom layers (PHY, MAC, queue, faults,
-    app), the optional routing/transport slots, and the fast-path
-    dispatcher.  :class:`~repro.net.node.Network` builds a default stack at
-    construction and delegates its transmit and fault APIs here.
+    Owns the context, the PHY, MAC, queue, fault and app layers, and the
+    fast-path dispatcher.  :class:`~repro.net.node.Network` builds a stack
+    at construction and delegates its transmit and fault APIs here; the
+    router and transport sit on top, in each node's ``router`` slot and the
+    handlers the transport installs.
     """
 
     def __init__(
@@ -933,53 +782,12 @@ class NetworkStack:
         mac: ContentionMac,
         rng: "np.random.Generator",
     ):
-        self.ctx = StackContext(sim, network, rng)
-        self.phy = PhyLayer(channel)
-        self.mac = MacLayer(mac)
-        self.queue = QueueLayer()
-        self.faults = FaultLayer()
+        self.ctx = ctx = StackContext(sim, network, rng)
+        self.phy = PhyLayer(ctx, channel)
+        self.mac = MacLayer(ctx, mac)
+        self.queue = QueueLayer(ctx)
+        self.faults = FaultLayer(ctx)
         self.app = AppLayer()
-        #: Optional slots filled by composition (registry / builder).
-        self.routing: Optional[RoutingLayer] = None
-        self.transport: Optional[TransportLayer] = None
-        for layer in (self.phy, self.mac, self.queue, self.faults, self.app):
-            layer.attach(self.ctx)
         self.dispatcher = FastPathDispatcher(
-            self.ctx, self.phy, self.mac, self.queue, self.faults, self.app
+            ctx, self.phy, self.mac, self.queue, self.faults, self.app
         )
-
-    # ------------------------------------------------------------- pipeline
-
-    @property
-    def layers(self) -> List[Layer]:
-        """Bottom-up pipeline view (only filled slots appear)."""
-        out: List[Layer] = [self.phy, self.mac, self.queue]
-        if self.routing is not None:
-            out.append(self.routing)
-        if self.transport is not None:
-            out.append(self.transport)
-        out.append(self.app)
-        return out
-
-    def set_router(self, router: RouterPort) -> RoutingLayer:
-        """Fill the routing slot with an adapter around ``router``."""
-        layer = RoutingLayer(router)
-        layer.attach(self.ctx)
-        self.routing = layer
-        return layer
-
-    def set_transport(self, service: TransportPort) -> TransportLayer:
-        """Fill the transport slot with an adapter around ``service``."""
-        layer = TransportLayer(service)
-        layer.attach(self.ctx)
-        self.transport = layer
-        return layer
-
-    def on_timer(self, now: float) -> None:
-        """Propagate a maintenance tick through every layer, bottom-up."""
-        for layer in self.layers:
-            layer.on_timer(now)
-
-    def __repr__(self) -> str:
-        names = "->".join(layer.name for layer in self.layers)
-        return f"NetworkStack({names})"

@@ -1,5 +1,6 @@
 """Tests for the wireless channel model."""
 
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +96,20 @@ class TestDelivery:
     def test_comm_range_grows_with_power(self):
         ch = make_channel()
         assert ch.comm_range_m(30.0) > ch.comm_range_m(10.0)
+
+
+class TestDeliveryVerdicts:
+    def test_matches_reference_and_returns_plain_bools(self):
+        # Sizes straddle 8, where an earlier numpy branch used to take over.
+        ch = make_channel()
+        rng = random.Random(99)
+        for n in (0, 1, 7, 8, 9, 64):
+            probs = [rng.random() for _ in range(n)]
+            draws = [rng.random() for _ in range(n)]
+            for survival in (1.0, 0.85):
+                verdicts = ch.delivery_verdicts(probs, draws, survival=survival)
+                assert verdicts == [d < p * survival for p, d in zip(probs, draws)]
+                assert all(type(v) is bool for v in verdicts)
 
 
 class TestJamming:

@@ -1,4 +1,5 @@
-"""The ``Packet.copy_for_forwarding`` header-copy contract.
+"""The ``Packet.copy_for_forwarding`` header-copy contract, and the
+slotted ``Packet`` surface.
 
 Headers are copied one container level deep: flat mutable containers
 (dict/list/set) get their own copy per forwarding hop, everything else —
@@ -7,6 +8,10 @@ The aliasing this rules out bit us once: a router mutating a dict header
 on a forwarded copy was silently editing the copy the previous hop still
 held in its retransmit queue.
 """
+
+import pickle
+
+import pytest
 
 from repro.net.packet import Packet, PacketKind
 
@@ -56,3 +61,33 @@ class TestHeaderCopy:
         fwd = pkt.copy_for_forwarding()
         fwd.headers["b"] = 2
         assert "b" not in pkt.headers
+
+
+def _packet(**kw):
+    defaults = dict(src=1, dst=9, payload=("m", 0), ttl=4, created_at=2.0)
+    defaults.update(kw)
+    return Packet(**defaults)
+
+
+class TestSlottedPacket:
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            _packet().not_a_field = 1
+
+    def test_unhashable_like_the_old_dataclass(self):
+        with pytest.raises(TypeError):
+            hash(_packet())
+        with pytest.raises(TypeError):
+            {_packet()}
+
+    def test_kind_codes_are_dense_and_values_wire_stable(self):
+        codes = sorted(k.code for k in PacketKind)
+        assert codes == list(range(len(PacketKind)))
+        assert PacketKind.DATA.value == "data"
+        assert PacketKind("rreq") is PacketKind.RREQ
+
+    def test_pickle_round_trip(self):
+        # Shard handoffs pickle packets across process boundaries.
+        original = _packet(path=[1, 2], headers={"k": 7})
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone == original

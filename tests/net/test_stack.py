@@ -17,7 +17,7 @@ from repro.net.routing import (
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
-from repro.net.stack import Layer, LayerBase, NetworkStack, RouterPort, TransportPort
+from repro.net.stack import NetworkStack, RouterPort, TransportPort
 from repro.net.transport import MessageService, ReliableMessageService
 from repro.sim import Simulator
 from repro.util.geometry import Point
@@ -31,13 +31,6 @@ def _line_network(sim, n=4, spacing=60.0):
 
 
 class TestLayerProtocol:
-    def test_layerbase_satisfies_protocol(self):
-        assert isinstance(LayerBase(), Layer)
-
-    def test_mac_backends_satisfy_protocol(self):
-        assert isinstance(ContentionMac(), Layer)
-        assert isinstance(IdealMac(), Layer)
-
     def test_routers_satisfy_router_port(self):
         sim = Simulator(seed=1)
         net = _line_network(sim)
@@ -71,36 +64,19 @@ class TestNetworkStack:
         net = _line_network(sim)
         stack = net.stack
         assert isinstance(stack, NetworkStack)
-        # Mandatory pipeline, bottom-up: phy -> mac -> queue -> app.
-        assert [layer.name for layer in stack.layers] == [
-            "phy",
-            "mac",
-            "queue",
-            "app",
-        ]
-
-    def test_slots_extend_pipeline(self):
-        sim = Simulator(seed=2)
-        net = _line_network(sim)
-        router = FloodingRouter(net)
-        router.attach_all(sorted(net.nodes))
-        net.stack.set_router(router)
-        svc = MessageService(router)
-        net.stack.set_transport(svc)
-        assert [layer.name for layer in net.stack.layers] == [
-            "phy",
-            "mac",
-            "queue",
-            "routing",
-            "transport",
-            "app",
-        ]
+        dispatcher = stack.dispatcher
+        assert dispatcher.phy is stack.phy and stack.phy.channel is net.channel
+        assert dispatcher.mac is stack.mac and stack.mac.mac is net.mac
+        assert dispatcher.queue is stack.queue
+        assert dispatcher.faults is stack.faults
+        assert dispatcher.app is stack.app
 
     def test_every_layer_attached_once(self):
         sim = Simulator(seed=2)
         net = _line_network(sim)
-        for layer in net.stack.layers:
-            assert layer.ctx is net.stack.ctx
+        stack = net.stack
+        for layer in (stack.phy, stack.mac, stack.queue, stack.faults):
+            assert layer.ctx is stack.ctx
 
     def test_fault_state_lives_in_fault_layer(self):
         sim = Simulator(seed=2)
@@ -110,21 +86,6 @@ class TestNetworkStack:
         assert net.link_blocked(2, 1)  # unordered, via delegation
         net.unblock_link(1, 2)
         assert not net.link_blocked(1, 2)
-
-    def test_timer_propagates_to_router(self):
-        sim = Simulator(seed=2)
-        net = _line_network(sim)
-        ticks = []
-
-        class TickRouter(FloodingRouter):
-            def on_timer(self, now):
-                ticks.append(now)
-
-        router = TickRouter(net)
-        router.attach_all(sorted(net.nodes))
-        net.stack.set_router(router)
-        net.stack.on_timer(3.5)
-        assert ticks == [3.5]
 
     def test_unicast_delivers_between_neighbors(self):
         sim = Simulator(seed=3)
@@ -211,8 +172,8 @@ class TestStackSpec:
         composed.router.attach_all(sorted(net.nodes))
         assert isinstance(net.mac, IdealMac)
         assert composed.router.name == "flooding"
-        assert net.stack.routing is not None
-        assert net.stack.transport is not None
+        assert isinstance(composed.router, FloodingRouter)
+        assert isinstance(composed.transport, MessageService)
 
     def test_compose_attaches_before_transport(self):
         # Transports install handlers on already-attached nodes at
